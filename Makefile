@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-runner lint escape-rebaseline fmt bench bench-runner bench-core bench-cmp obs-bench audit diff-fuzz diff-fuzz-long ci
+.PHONY: build test race race-runner lint escape-rebaseline fmt bench bench-runner bench-core bench-cmp obs-bench perfbench-smoke audit diff-fuzz diff-fuzz-long ci
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,21 @@ bench-cmp:
 obs-bench:
 	BENCH_OBS_JSON=$(CURDIR)/BENCH_obs.json $(GO) test -count=1 -run '^TestBenchObsSmoke$$' -v .
 
+# perfbench-smoke: a short traced run of each perfbench workload. The
+# traced pass steps every core cycle by cycle and checks its result
+# against the untraced run, which skips idle cycles, so this proves the
+# skip exact. Fails on a non-zero exit or a result line that is not
+# "correct": true with no failed simulations.
+PERFBENCH_WORKLOADS = fig6 l2-replay cmp-shared
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		out=$$(python3 perfbench/run.py --workload $$w --seconds 5 --trace 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)' \
+			|| { echo "$$out"; exit 1; }; \
+	done
+
 # audit: the randomized invariant storm at full length.
 audit:
 	$(GO) test ./internal/nurapid/ -run TestAuditedAccessStorm -v
@@ -100,4 +115,4 @@ diff-fuzz:
 diff-fuzz-long:
 	DIFF_FUZZ_LONG=1 $(GO) test -count=1 -timeout 60m -v -run TestDifferentialMatrix ./internal/refmodel/difftest/
 
-ci: build test race race-runner lint bench bench-runner bench-core bench-cmp obs-bench diff-fuzz
+ci: build test race race-runner lint bench bench-runner bench-core bench-cmp obs-bench perfbench-smoke diff-fuzz

@@ -250,6 +250,39 @@ func (c *Cache) Access(addr Addr, write bool) Outcome {
 	return out
 }
 
+// AccessLooked is Access for a caller that has already looked addr up
+// with Array().Lookup and changed nothing since: way and hit are that
+// lookup's result, so the tag search is not repeated. The outcome,
+// counters and replacement state match Access exactly. Access keeps its
+// own copy of this path rather than calling here, so the organizations'
+// access loops pay no extra call.
+//
+//nurapid:hotpath
+func (c *Cache) AccessLooked(addr Addr, write bool, way int, hit bool) Outcome {
+	c.Accesses++
+	set := c.arr.idx.SetIndex(addr)
+	if hit {
+		c.Hits++
+		c.arr.Touch(set, way)
+		if write {
+			c.arr.Line(set, way).Dirty = true
+		}
+		return Outcome{Hit: true, Way: way}
+	}
+	way = c.arr.VictimWay(set)
+	out := Outcome{Way: way}
+	if l := c.arr.Line(set, way); l.Valid {
+		out.Evicted = true
+		out.Victim = Eviction{Addr: c.geoAddrOf(set, l.Tag), Dirty: l.Dirty}
+		c.Evictions++
+	}
+	l := c.arr.Fill(addr, way)
+	if write {
+		l.Dirty = true
+	}
+	return out
+}
+
 // geoAddrOf reconstructs a victim's base address from the precomputed
 // index (shift/or instead of the Geometry method's multiplications by
 // recomputed set counts).

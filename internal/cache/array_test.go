@@ -218,3 +218,25 @@ func TestMustNewCachePanics(t *testing.T) {
 	}()
 	MustNewCache(Geometry{}, LRU, nil)
 }
+
+// TestAccessLookedMatchesAccess: a Lookup followed by AccessLooked
+// behaves exactly like Access — outcomes, counters and the resulting
+// replacement state.
+func TestAccessLookedMatchesAccess(t *testing.T) {
+	for _, policy := range []ReplPolicy{LRU, Random} {
+		a := MustNewCache(smallGeo(), policy, mathx.NewRNG(5))
+		b := MustNewCache(smallGeo(), policy, mathx.NewRNG(5))
+		rng := mathx.NewRNG(6)
+		for i := 0; i < 20000; i++ {
+			addr, write := Addr(rng.Intn(1<<14)), rng.Bool(0.3)
+			way, hit := b.Array().Lookup(addr)
+			if got, want := b.AccessLooked(addr, write, way, hit), a.Access(addr, write); got != want {
+				t.Fatalf("policy %v access %d: AccessLooked = %+v, Access = %+v", policy, i, got, want)
+			}
+		}
+		if a.Accesses != b.Accesses || a.Hits != b.Hits || a.Evictions != b.Evictions {
+			t.Fatalf("policy %v: counters differ: %d/%d/%d vs %d/%d/%d", policy,
+				a.Accesses, a.Hits, a.Evictions, b.Accesses, b.Hits, b.Evictions)
+		}
+	}
+}

@@ -73,3 +73,63 @@ func TestMSHRZeroCapacityPanics(t *testing.T) {
 	}()
 	NewMSHRFile(0)
 }
+
+func TestMSHREarliestDone(t *testing.T) {
+	m := NewMSHRFile(4)
+	if m.EarliestDone() != -1 {
+		t.Fatal("an empty file has no earliest completion")
+	}
+	m.Allocate(0, 1, 90)
+	m.Allocate(0, 2, 30)
+	m.Allocate(0, 3, 60)
+	if got := m.EarliestDone(); got != 30 {
+		t.Fatalf("EarliestDone = %d, want 30", got)
+	}
+	m.Expire(30)
+	if got := m.EarliestDone(); got != 60 {
+		t.Fatalf("EarliestDone after expiring 30 = %d, want 60", got)
+	}
+}
+
+// TestMSHRStaleEntryVisibleUntilExpire pins lazy expiry: a completed
+// fill stays visible to Lookup until Expire (directly, or through
+// Outstanding or Allocate) retires it.
+func TestMSHRStaleEntryVisibleUntilExpire(t *testing.T) {
+	m := NewMSHRFile(2)
+	m.Allocate(0, 7, 20)
+	if done, ok := m.Lookup(7); !ok || done != 20 {
+		t.Fatalf("completed entry before any Expire: done=%d ok=%v, want 20 true", done, ok)
+	}
+	m.Expire(19)
+	if _, ok := m.Lookup(7); !ok {
+		t.Fatal("Expire before the completion cycle must keep the entry")
+	}
+	if m.Outstanding(100) != 0 {
+		t.Fatal("the entry must retire once expired")
+	}
+	if _, ok := m.Lookup(7); ok {
+		t.Fatal("an expired entry must leave Lookup")
+	}
+}
+
+// TestMSHRExpireKeepsSurvivors: retiring some entries leaves every
+// unfinished one findable, whatever its slot.
+func TestMSHRExpireKeepsSurvivors(t *testing.T) {
+	m := NewMSHRFile(5)
+	done := map[Addr]int64{10: 5, 11: 50, 12: 6, 13: 70, 14: 7}
+	for _, b := range []Addr{10, 11, 12, 13, 14} {
+		m.Allocate(0, b, done[b])
+	}
+	if m.Outstanding(10) != 2 {
+		t.Fatalf("Outstanding(10) = %d, want 2", m.Outstanding(10))
+	}
+	for b, d := range done {
+		got, ok := m.Lookup(b)
+		if live := d > 10; ok != live || (live && got != d) {
+			t.Errorf("block %d: Lookup = %d, %v; want live=%v at %d", b, got, ok, live, d)
+		}
+	}
+	if _, ok := m.Allocate(10, 15, 80); !ok {
+		t.Fatal("retired registers must be reusable")
+	}
+}

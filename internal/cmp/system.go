@@ -2,6 +2,7 @@ package cmp
 
 import (
 	"fmt"
+	"math"
 
 	"nurapid/internal/cpu"
 	"nurapid/internal/memsys"
@@ -118,6 +119,7 @@ func New(l2 memsys.LowerLevel, cfg Config) (*System, error) {
 		c, err := cpu.New(&s.fronts[i],
 			cpu.WithConfig(ccfg),
 			cpu.WithL1EnergyNJ(cfg.L1EnergyNJ),
+			cpu.WithLowerBlockBytes(qcfg.BlockBytes),
 			cpu.WithCoreID(i))
 		if err != nil {
 			return nil, err
@@ -190,6 +192,11 @@ func (s *System) Sources(app workload.App, seed uint64) ([]workload.Source, erro
 // ((cycle + k) mod n), so no core gets a standing first-access
 // advantage at the shared queue; the schedule is a pure function of the
 // cycle number, keeping runs deterministic.
+//
+// When every running core is idle (cpu.CPU.NextEvent), the system and
+// its cores jump to the earliest next event. Idle cores issue no
+// requests, so nothing reaches the shared queue or another core's L1
+// in the skipped cycles, and the result equals stepping every cycle.
 func (s *System) Run(srcs []workload.Source, maxInstrPerCore int64) Result {
 	if len(srcs) != len(s.cores) {
 		panic(fmt.Sprintf("cmp: %d sources for %d cores", len(srcs), len(s.cores)))
@@ -213,8 +220,29 @@ func (s *System) Run(srcs []workload.Source, maxInstrPerCore int64) Result {
 			}
 		}
 		s.cycle++
+		s.skipIdle(finished)
 	}
 	return s.Result()
+}
+
+// skipIdle advances the system clock and every unfinished core to the
+// earliest next event among those cores, when it lies in the future.
+func (s *System) skipIdle(finished []bool) {
+	next := int64(math.MaxInt64)
+	for i, c := range s.cores {
+		if !finished[i] {
+			next = min(next, c.NextEvent())
+		}
+	}
+	if next == math.MaxInt64 || next <= s.cycle {
+		return
+	}
+	for i, c := range s.cores {
+		if !finished[i] {
+			c.AdvanceTo(next)
+		}
+	}
+	s.cycle = next
 }
 
 // shootDown invalidates addr's block from every L1D except the writer's

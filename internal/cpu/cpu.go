@@ -14,8 +14,10 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"nurapid/internal/cache"
+	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
 	"nurapid/internal/stats"
 	"nurapid/internal/workload"
@@ -30,7 +32,7 @@ type Config struct {
 	MispredictPenalty int64 // redirect bubble in cycles
 	L1Latency         int64 // L1 hit latency
 	L1Geometry        cache.Geometry
-	FetchBytes        int // bytes per fetch block (I-cache access unit)
+	FetchBytes        int // bytes per fetch block (I-cache access unit; power of two)
 }
 
 // DefaultConfig returns the paper's Table 1 core.
@@ -52,8 +54,11 @@ func (c Config) Validate() error {
 	if c.Width <= 0 || c.ROB <= 0 || c.LSQ <= 0 || c.MSHRs <= 0 {
 		return fmt.Errorf("cpu: non-positive structure size in %+v", c)
 	}
-	if c.L1Latency <= 0 || c.MispredictPenalty < 0 || c.FetchBytes <= 0 {
+	if c.L1Latency <= 0 || c.MispredictPenalty < 0 {
 		return fmt.Errorf("cpu: bad latency/penalty in %+v", c)
+	}
+	if c.FetchBytes <= 0 || !mathx.IsPow2(int64(c.FetchBytes)) {
+		return fmt.Errorf("cpu: fetch block %d bytes not a positive power of two", c.FetchBytes)
 	}
 	return c.L1Geometry.Validate()
 }
@@ -91,6 +96,10 @@ func (r Result) Snapshot() []stats.KV {
 	}
 }
 
+// defaultLowerBlockBytes is the lower level's block size when no
+// WithLowerBlockBytes option is given: the paper's 128-B L2 block.
+const defaultLowerBlockBytes = 128
+
 type robEntry struct {
 	done  int64
 	isMem bool
@@ -107,15 +116,19 @@ type CPU struct {
 	l1NJ   float64
 	coreID int
 
-	rob        []robEntry
+	rob        []robEntry // ring: head is the oldest entry, tail the next free slot
 	head, tail int
 	used       int
 	lsqUsed    int
 
 	cycle      int64
 	committed  int64
-	stallUntil int64 // no dispatch before this cycle (redirect, MSHR full)
+	stallUntil int64 // no dispatch before this cycle (I-miss, redirect, MSHR full)
 	memIssued  bool  // the single L1D port already used this cycle
+
+	fetchShift      uint // log2(FetchBytes): PC >> fetchShift is the fetch block
+	lowerBlockBytes int  // lower level's block size (WithLowerBlockBytes)
+	blockShift      uint // log2(lowerBlockBytes): MSHR merge granularity
 
 	curFetchBlock uint64
 	l2Accesses    int64
@@ -144,6 +157,11 @@ func WithConfig(cfg Config) Option { return func(c *CPU) { c.cfg = cfg } }
 // ports; default 0 — timing only).
 func WithL1EnergyNJ(nj float64) Option { return func(c *CPU) { c.l1NJ = nj } }
 
+// WithLowerBlockBytes sets the lower level's block size (a power of two;
+// default 128). L1 misses to the same lower-level block merge in one
+// MSHR, so this must match the organization the core drives.
+func WithLowerBlockBytes(n int) Option { return func(c *CPU) { c.lowerBlockBytes = n } }
+
 // WithCoreID sets the id stamped on every lower-level request this core
 // issues (memsys.Req.Core; default 0). Shared organizations use it for
 // per-core attribution.
@@ -152,13 +170,18 @@ func WithCoreID(id int) Option { return func(c *CPU) { c.coreID = id } }
 // New builds a CPU around the given lower-level cache; options default
 // to the paper's Table 1 core with zero L1 energy and core id 0.
 func New(l2 memsys.LowerLevel, opts ...Option) (*CPU, error) {
-	c := &CPU{cfg: DefaultConfig(), l2: l2}
+	c := &CPU{cfg: DefaultConfig(), l2: l2, lowerBlockBytes: defaultLowerBlockBytes}
 	for _, o := range opts {
 		o(c)
 	}
 	if err := c.cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if c.lowerBlockBytes <= 0 || !mathx.IsPow2(int64(c.lowerBlockBytes)) {
+		return nil, fmt.Errorf("cpu: lower-level block %d bytes not a positive power of two", c.lowerBlockBytes)
+	}
+	c.fetchShift = uint(mathx.Log2(int64(c.cfg.FetchBytes)))
+	c.blockShift = uint(mathx.Log2(int64(c.lowerBlockBytes)))
 	l1d, err := cache.NewCache(c.cfg.L1Geometry, cache.LRU, nil)
 	if err != nil {
 		return nil, err
@@ -184,22 +207,20 @@ func MustNew(l2 memsys.LowerLevel, opts ...Option) *CPU {
 	return c
 }
 
-// NewWithConfig builds a CPU in the old positional form.
-//
-// Deprecated: use New(l2, WithConfig(cfg), WithL1EnergyNJ(l1NJ)).
-func NewWithConfig(cfg Config, l2 memsys.LowerLevel, l1NJ float64) (*CPU, error) {
-	return New(l2, WithConfig(cfg), WithL1EnergyNJ(l1NJ))
-}
-
 // CoreID returns the id stamped on this core's lower-level requests.
 func (c *CPU) CoreID() int { return c.coreID }
 
 // Run executes up to maxInstr instructions from src (or until the source
 // ends) and returns the run summary. It is Start + Step-to-completion +
-// Result; lockstep drivers (internal/cmp) call those pieces directly.
+// Result, jumping over idle cycles with AdvanceTo(NextEvent()) after
+// each Step; the result is identical to stepping every cycle. Lockstep
+// drivers (internal/cmp) call those pieces directly.
 func (c *CPU) Run(src workload.Source, maxInstr int64) Result {
 	c.Start(src, maxInstr)
 	for c.Step() {
+		if next := c.NextEvent(); next > c.cycle {
+			c.AdvanceTo(next)
+		}
 	}
 	return c.Result()
 }
@@ -217,8 +238,9 @@ func (c *CPU) Start(src workload.Source, maxInstr int64) {
 // Step simulates one cycle: commit, then dispatch. It returns false once
 // the core is done (instruction budget reached, or the source is
 // exhausted and the window has drained); the clock does not advance on
-// the final call, so Cycles counts only simulated cycles — a full
-// Start/Step loop is cycle-for-cycle identical to the pre-Step Run loop.
+// the final call, so Cycles counts only simulated cycles. Step never
+// skips: each call is one cycle, idle or not, so a Start/Step loop
+// yields exactly what Run, which skips idle cycles, yields.
 func (c *CPU) Step() bool {
 	if c.halted || c.committed >= c.maxInstr {
 		c.halted = true
@@ -255,6 +277,56 @@ func (c *CPU) Step() bool {
 	}
 	c.cycle++
 	return true
+}
+
+// NextEvent returns the first cycle at which Step can change any state:
+// the current cycle, unless the core is idle. A cycle is idle when the
+// window's head cannot commit (the window is empty, or its head
+// completes later) and dispatch cannot start: an I-miss, redirect or
+// MSHR stall holds it (cycle < stallUntil), the window is full, there
+// is nothing to fetch (budget reached or source done, nothing
+// pending), or the pending load/store waits on a full LSQ. (A pending
+// instruction's fetch block is always current: dispatch fetches it
+// before any stall, so retrying it touches no I-cache.) Only the cycle
+// number can end idleness, so an idle core's next event is the earlier
+// of its head's completion and stallUntil.
+func (c *CPU) NextEvent() int64 {
+	if c.Done() || c.used > 0 && c.rob[c.head].done <= c.cycle || !c.dispatchBlocked() {
+		return c.cycle
+	}
+	next := int64(math.MaxInt64)
+	if c.used > 0 {
+		next = c.rob[c.head].done
+	}
+	if c.stallUntil > c.cycle && c.stallUntil < next {
+		next = c.stallUntil
+	}
+	return next
+}
+
+// dispatchBlocked reports whether the dispatch stage of the current
+// cycle would change no state, per NextEvent's idle rules.
+func (c *CPU) dispatchBlocked() bool {
+	switch {
+	case c.cycle < c.stallUntil || c.used == len(c.rob):
+		return true
+	case !c.hasPending:
+		// With an empty window, nothing to fetch means Step halts.
+		return c.used > 0 && (c.sourceDone || c.committed+int64(c.used) >= c.maxInstr)
+	default:
+		k := c.pending.Kind
+		return (k == workload.Load || k == workload.Store) && c.lsqUsed >= c.cfg.LSQ
+	}
+}
+
+// AdvanceTo moves the clock to cycle without simulating the cycles in
+// between, which must all be idle: cycle may not pass NextEvent(). It is
+// exact because an idle cycle touches no MSHR, L1 or source state.
+func (c *CPU) AdvanceTo(cycle int64) {
+	if cycle < c.cycle || cycle > c.NextEvent() {
+		panic(fmt.Sprintf("cpu: AdvanceTo(%d) outside [%d, %d]", cycle, c.cycle, c.NextEvent()))
+	}
+	c.cycle = cycle
 }
 
 // Done reports whether the core has finished its Start-ed run.
@@ -313,7 +385,9 @@ func (c *CPU) commitStage() {
 		if e.isMem {
 			c.lsqUsed--
 		}
-		c.head = (c.head + 1) % c.cfg.ROB
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.used--
 		c.committed++
 	}
@@ -323,7 +397,7 @@ func (c *CPU) commitStage() {
 // false on a structural stall (LSQ or MSHR full, I-fetch miss pending).
 func (c *CPU) dispatch(in *workload.Instr) bool {
 	// Instruction fetch: one I-cache access per fetch-block transition.
-	fb := in.PC / uint64(c.cfg.FetchBytes)
+	fb := in.PC >> c.fetchShift
 	if fb != c.curFetchBlock {
 		c.curFetchBlock = fb
 		c.l1Energy += c.l1NJ
@@ -354,11 +428,13 @@ func (c *CPU) dispatch(in *workload.Instr) bool {
 		c.memIssued = true
 		isMem = true
 		write := in.Kind == workload.Store
-		block := in.Addr / 128 // lower-level block granularity
+		block := in.Addr >> c.blockShift // lower-level block granularity
 		// Structural pre-check before any state changes: a miss that
 		// cannot merge needs a free MSHR, or dispatch stalls here and
-		// retries the same instruction once one frees.
-		if !c.l1d.Contains(in.Addr) {
+		// retries the same instruction once one frees. The tag lookup
+		// is reused by the access itself.
+		way, hit := c.l1d.Array().Lookup(in.Addr)
+		if !hit {
 			if _, merge := c.mshr.Lookup(block); !merge &&
 				c.mshr.Outstanding(c.cycle) >= c.cfg.MSHRs {
 				c.stallUntil = c.mshr.EarliestDone()
@@ -366,7 +442,7 @@ func (c *CPU) dispatch(in *workload.Instr) bool {
 			}
 		}
 		c.l1Energy += c.l1NJ
-		out := c.l1d.Access(in.Addr, write)
+		out := c.l1d.AccessLooked(in.Addr, write, way, hit)
 		if out.Evicted && out.Victim.Dirty {
 			// L1 writeback into the lower level; does not block.
 			c.l2Request(out.Victim.Addr, true)
@@ -393,7 +469,9 @@ func (c *CPU) dispatch(in *workload.Instr) bool {
 	}
 
 	c.rob[c.tail] = robEntry{done: done, isMem: isMem}
-	c.tail = (c.tail + 1) % c.cfg.ROB
+	if c.tail++; c.tail == len(c.rob) {
+		c.tail = 0
+	}
 	c.used++
 	if isMem {
 		c.lsqUsed++

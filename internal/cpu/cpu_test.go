@@ -54,6 +54,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("bad L1 geometry must be rejected")
 	}
+	bad = DefaultConfig()
+	bad.FetchBytes = 48
+	if err := bad.Validate(); err == nil {
+		t.Fatal("a fetch block that is not a power of two must be rejected")
+	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -61,6 +66,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	cfg.ROB = 0
 	if _, err := New(newStubL2(10), WithConfig(cfg), WithL1EnergyNJ(0.5)); err == nil {
 		t.Fatal("bad config must be rejected")
+	}
+	for _, n := range []int{0, -128, 96} {
+		if _, err := New(newStubL2(10), WithLowerBlockBytes(n)); err == nil {
+			t.Errorf("a lower-level block of %d bytes must be rejected", n)
+		}
 	}
 }
 

@@ -256,7 +256,7 @@ func (r *Runner) Run(app workload.App, org Organization) *RunResult {
 		mem := memsys.NewMemory(org.blockBytes())
 		l2 := org.Factory(r.Model, mem)
 		probes := r.instrument(app.Name, org.Key, l2)
-		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(r.Model.L1NJ))
+		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(r.Model.L1NJ), cpu.WithLowerBlockBytes(org.blockBytes()))
 		gen := workload.MustNewGenerator(app, r.Seed)
 		cres := core.Run(gen, r.Instructions)
 

@@ -162,7 +162,7 @@ func (r *Runner) runScaledVariant(app workload.App, scale float64, isNurapid boo
 			l2 = nuca.MustNew(cfg, model, mem)
 		}
 		probes := r.instrument(app.Name, label, l2)
-		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(model.L1NJ))
+		core := cpu.MustNew(l2, cpu.WithL1EnergyNJ(model.L1NJ), cpu.WithLowerBlockBytes(mem.BlockBytes))
 		cres := core.Run(workload.MustNewGenerator(app, r.Seed), r.Instructions)
 		res := &RunResult{
 			App:         app.Name,

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"nurapid/internal/nurapid"
+)
 
 func TestCapacitySweep(t *testing.T) {
 	r := smallRunner(t)
@@ -42,6 +46,19 @@ func TestBlockSweep(t *testing.T) {
 	if e.Metrics["miss_256"] > e.Metrics["miss_64"] {
 		t.Fatalf("256-B miss rate (%.3f) above 64-B (%.3f)",
 			e.Metrics["miss_256"], e.Metrics["miss_64"])
+	}
+	// The core merges L1 misses per L2 block, so a bigger block merges
+	// more of them and sends fewer requests to the L2.
+	l2 := map[int]int64{}
+	for _, bb := range []int{64, 128, 256} {
+		cfg := nurapid.DefaultConfig()
+		cfg.BlockBytes = bb
+		for _, app := range r.Apps {
+			l2[bb] += r.Run(app, NuRAPID(cfg)).CPU.L2Accesses
+		}
+	}
+	if !(l2[64] > l2[128] && l2[128] > l2[256]) {
+		t.Fatalf("L2 requests at 64/128/256-B blocks = %d/%d/%d, want strictly decreasing", l2[64], l2[128], l2[256])
 	}
 }
 

@@ -273,7 +273,9 @@ func NewGenerator(app App, seed uint64) (*Generator, error) {
 // DefaultCPUConfig returns the paper's Table 1 core parameters.
 func DefaultCPUConfig() CPUConfig { return cpu.DefaultConfig() }
 
-// NewCPU builds an out-of-order core driving the given lower level.
+// NewCPU builds an out-of-order core driving the given lower level. Its
+// L1 misses merge per 128-B block, the block size of every
+// organization's default configuration.
 func NewCPU(cfg CPUConfig, l2 LowerLevel) (*CPU, error) {
 	return cpu.New(l2, cpu.WithConfig(cfg), cpu.WithL1EnergyNJ(cacti.Default().L1NJ))
 }
