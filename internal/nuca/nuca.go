@@ -24,6 +24,7 @@ package nuca
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nurapid/internal/cache"
 	"nurapid/internal/cacti"
@@ -99,12 +100,13 @@ const bankOccupancy = 3
 // "frequent swaps" consume — later probes of a bank mid-swap must wait.
 const swapOccupancy = 12
 
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	stamp uint64
-}
+// A tag-store key packs one line's state into a word:
+// tag<<keyTagShift | dirty<<1 | valid. An invalid way's key is zero.
+const (
+	keyValid    uint64 = 1
+	keyDirty    uint64 = 2
+	keyTagShift        = 2
+)
 
 // Cache is a D-NUCA cache. It implements memsys.LowerLevel.
 type Cache struct {
@@ -113,9 +115,10 @@ type Cache struct {
 	idx       cache.Index
 	numGroups int
 	assoc     int
-	wpg       int    // ways per latency group
-	wayGroup  []int8 // way -> latency group
-	lines     []line // sets x assoc; way w belongs to group wayGroup[w]
+	wpg       int      // ways per latency group
+	wayGroup  []int8   // way -> latency group
+	keys      []uint64 // sets x assoc tag-store keys; way w belongs to group wayGroup[w]
+	stamps    []uint64 // sets x assoc recency stamps, parallel to keys
 	clock     uint64
 
 	banks   []memsys.Port
@@ -131,9 +134,10 @@ type Cache struct {
 
 	ssLat int64
 	ssNJ  float64
-	mask  uint64 // partial-tag mask
-
-	matchBuf []bool // scratch for partialMatches; reused every access
+	// partialMask selects a key's valid bit and its partial-tag bits: a
+	// key agrees with a valid key under it iff it is valid too and the
+	// two partial tags are equal.
+	partialMask uint64
 
 	mem    *memsys.Memory
 	dist   *stats.Distribution
@@ -175,6 +179,9 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 	if cfg.PartialTagBits <= 0 || cfg.PartialTagBits > 32 {
 		return nil, fmt.Errorf("nuca: partial tag bits %d out of range", cfg.PartialTagBits)
 	}
+	if err := checkKeyFits(geo); err != nil {
+		return nil, err
+	}
 
 	grid := floorplan.NewNUCAGrid(int(cfg.CapacityBytes>>20), cfg.BankKB)
 	latencies := m.NUCABankLatencies(grid)
@@ -187,6 +194,12 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 	if cfg.Assoc < numGroups {
 		numGroups = cfg.Assoc
 	}
+	wpg := cfg.Assoc / numGroups
+	if cfg.Assoc%numGroups != 0 {
+		return nil, fmt.Errorf("nuca: associativity %d does not split evenly into %d latency groups: "+
+			"ways %d-%d would belong to no group and never be filled",
+			cfg.Assoc, numGroups, wpg*numGroups, cfg.Assoc-1)
+	}
 	banksPerGroup := numBanks / numGroups
 	bankTab := make([]int32, numGroups*banksPerGroup)
 	for g := 0; g < numGroups; g++ {
@@ -196,7 +209,6 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 		}
 	}
 
-	wpg := cfg.Assoc / numGroups
 	wayGroup := make([]int8, cfg.Assoc)
 	for w := range wayGroup {
 		wayGroup[w] = int8(w / wpg)
@@ -219,7 +231,8 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 		assoc:     cfg.Assoc,
 		wpg:       wpg,
 		wayGroup:  wayGroup,
-		lines:     make([]line, geo.NumSets()*cfg.Assoc),
+		keys:      make([]uint64, geo.NumSets()*cfg.Assoc),
+		stamps:    make([]uint64, geo.NumSets()*cfg.Assoc),
 		banks:     make([]memsys.Port, numBanks),
 		bankLat:   lat64,
 		bankNJ:    energies,
@@ -229,11 +242,22 @@ func New(cfg Config, m *cacti.Model, mem *memsys.Memory) (*Cache, error) {
 		bpgPow2:   mathx.IsPow2(int64(banksPerGroup)),
 		ssLat:     int64(m.SmartSearchCyc),
 		ssNJ:      m.SmartSearchNJ,
-		mask:      (1 << uint(cfg.PartialTagBits)) - 1,
-		matchBuf:  make([]bool, numGroups),
 		mem:       mem,
 		dist:      stats.NewDistribution(labels...),
+
+		partialMask: (1<<uint(cfg.PartialTagBits)-1)<<keyTagShift | keyValid,
 	}, nil
+}
+
+// checkKeyFits rejects a geometry whose tags would lose their top bits
+// when shifted into a key word: the block offset and set index must
+// free at least keyTagShift address bits.
+func checkKeyFits(geo cache.Geometry) error {
+	if indexBits := mathx.Log2(int64(geo.BlockBytes) * int64(geo.NumSets())); indexBits < keyTagShift {
+		return fmt.Errorf("nuca: %d block-offset and set-index bits leave %d-bit tags, "+
+			"too wide for a key word's %d tag bits", indexBits, 64-indexBits, 64-keyTagShift)
+	}
+	return nil
 }
 
 // MustNew is New that panics on configuration errors.
@@ -259,8 +283,6 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) SetProbe(p obs.Probe) { c.probe = p }
 
 func (c *Cache) groupOfWay(way int) int { return int(c.wayGroup[way]) }
-
-func (c *Cache) line(set, way int) *line { return &c.lines[set*c.assoc+way] }
 
 // bankOf returns the bank holding the ways of `group` for `set`.
 func (c *Cache) bankOf(group, set int) int {
@@ -289,43 +311,37 @@ func (c *Cache) chargeBank(b int, t int64) {
 
 func (c *Cache) touch(set, way int) {
 	c.clock++
-	c.line(set, way).stamp = c.clock
+	c.stamps[set*c.assoc+way] = c.clock
 }
 
 // lookup finds addr in its set without side effects.
 func (c *Cache) lookup(addr uint64) (way int, ok bool) {
-	return c.findWay(c.idx.SetIndex(addr), c.idx.Tag(addr))
+	way, _ = c.search(c.idx.SetIndex(addr), c.idx.Tag(addr))
+	return way, way >= 0
 }
 
-// findWay finds the way holding (set, tag) without side effects.
-func (c *Cache) findWay(set int, tag uint64) (way int, ok bool) {
+// search makes one side-effect-free pass over the set's keys. It
+// returns the way holding tag (-1 on a miss) and, as a bitmask with
+// bit g for group g, the groups with a valid way whose partial tag
+// matches — the smart-search array's answer. A full match is also a
+// partial match, so a hit's group is always in the mask.
+//
+//nurapid:hotpath
+func (c *Cache) search(set int, tag uint64) (way int, groups uint32) {
+	want := tag<<keyTagShift | keyValid
+	partial := want & c.partialMask
 	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == tag {
-			return w, true
+	way = -1
+	for w, k := range c.keys[base : base+c.assoc] {
+		if k&c.partialMask != partial {
+			continue
+		}
+		groups |= 1 << uint(c.wayGroup[w])
+		if way < 0 && k&^keyDirty == want {
+			way = w
 		}
 	}
-	return -1, false
-}
-
-// partialMatches fills the per-group scratch buffer with whether any
-// valid way in the set partially matches addr's tag — the smart-search
-// array's answer. The buffer is owned by the cache and overwritten on
-// the next access.
-func (c *Cache) partialMatches(set int, tag uint64) []bool {
-	out := c.matchBuf
-	for g := range out {
-		out[g] = false
-	}
-	masked := tag & c.mask
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag&c.mask == masked {
-			out[c.wayGroup[w]] = true
-		}
-	}
-	return out
+	return way, groups
 }
 
 // Access implements memsys.LowerLevel.
@@ -340,31 +356,33 @@ func (c *Cache) Access(req memsys.Req) memsys.AccessResult {
 	set := c.idx.SetIndex(addr)
 	tag := c.idx.Tag(addr)
 
-	way, hit := c.findWay(set, tag)
+	way, groups := c.search(set, tag)
+	hitGroup := -1
+	if way >= 0 {
+		hitGroup = c.groupOfWay(way)
+	}
 
 	var done int64
 	switch c.cfg.Policy {
 	case SSPerformance:
 		c.chargeSmartSearch()
-		done = c.searchParallel(now, set, way, hit, c.partialMatches(set, tag))
+		done = c.searchParallel(now, set, hitGroup, groups)
 	case SSEnergy:
 		c.chargeSmartSearch()
-		done = c.searchSequential(now, set, way, hit, c.partialMatches(set, tag))
+		done = c.searchSequential(now, set, hitGroup, groups)
 	case Incremental:
-		done = c.searchIncremental(now, set, way, hit)
+		done = c.searchIncremental(now, set, hitGroup)
 	default:
 		panic("nuca: unknown search policy")
 	}
 
-	if hit {
-		g := c.groupOfWay(way)
+	if g := hitGroup; g >= 0 {
 		c.dist.AddHit(g)
 		if c.probe != nil {
 			c.probe.Emit(obs.Hit(now, g, done-now))
 		}
-		l := c.line(set, way)
 		if write {
-			l.dirty = true
+			c.keys[set*c.assoc+way] |= keyDirty
 		}
 		c.touch(set, way)
 		if g > 0 {
@@ -390,13 +408,13 @@ func (c *Cache) chargeSmartSearch() {
 }
 
 // searchIncremental probes every group's bank closest-first until the
-// block is found, with no partial-tag filtering; a miss is confirmed
-// only after the farthest bank answers.
-func (c *Cache) searchIncremental(now int64, set, way int, hit bool) int64 {
+// block is found in hitGroup (-1 on a miss), with no partial-tag
+// filtering; a miss is confirmed only after the farthest bank answers.
+func (c *Cache) searchIncremental(now int64, set, hitGroup int) int64 {
 	t := now
 	for g := 0; g < c.numGroups; g++ {
 		t = c.probeBank(c.bankOf(g, set), t)
-		if hit && g == c.groupOfWay(way) {
+		if g == hitGroup {
 			return t
 		}
 	}
@@ -404,53 +422,44 @@ func (c *Cache) searchIncremental(now int64, set, way int, hit bool) int64 {
 }
 
 // searchParallel is ss-performance: every group's bank is probed at once;
-// a hit completes when its bank responds; a miss with no partial match is
-// detected as soon as the smart-search array answers, otherwise when the
-// slowest probed bank responds.
-func (c *Cache) searchParallel(now int64, set, way int, hit bool, matches []bool) int64 {
+// a hit completes when its bank (hitGroup's) responds; a miss with no
+// partially matching group is detected as soon as the smart-search array
+// answers, otherwise when the slowest probed bank responds.
+func (c *Cache) searchParallel(now int64, set, hitGroup int, groups uint32) int64 {
 	latest := now + c.ssLat
 	var hitDone int64
 	for g := 0; g < c.numGroups; g++ {
 		resp := c.probeBank(c.bankOf(g, set), now)
-		if hit && g == c.groupOfWay(way) {
+		if g == hitGroup {
 			hitDone = resp
 		}
 		if resp > latest {
 			latest = resp
 		}
 	}
-	if hit {
+	if hitGroup >= 0 {
 		return hitDone
 	}
-	anyMatch := false
-	for _, m := range matches {
-		anyMatch = anyMatch || m
-	}
-	if !anyMatch {
+	if groups == 0 {
 		return now + c.ssLat // early miss
 	}
 	c.hot.falsePartialHits++
 	return latest
 }
 
-// searchSequential is ss-energy: only groups with a partial match are
+// searchSequential is ss-energy: only the partially matching groups are
 // probed, closest first, each probe starting after the previous one
 // answers.
-func (c *Cache) searchSequential(now int64, set, way int, hit bool, matches []bool) int64 {
+func (c *Cache) searchSequential(now int64, set, hitGroup int, groups uint32) int64 {
 	t := now + c.ssLat
-	probed := false
-	for g := 0; g < c.numGroups; g++ {
-		if !matches[g] {
-			continue
-		}
-		probed = true
+	for ; groups != 0; groups &= groups - 1 {
+		g := bits.TrailingZeros32(groups)
 		t = c.probeBank(c.bankOf(g, set), t)
-		if hit && g == c.groupOfWay(way) {
+		if g == hitGroup {
 			return t
 		}
 		c.hot.falsePartialHits++
 	}
-	_ = probed
 	return t // miss: confirmed after the last candidate (or the ss array)
 }
 
@@ -460,11 +469,12 @@ func (c *Cache) searchSequential(now int64, set, way int, hit bool, matches []bo
 func (c *Cache) promote(now int64, set, way int) {
 	g := c.groupOfWay(way)
 	target := c.victimWay(set, g-1)
-	a, b := c.line(set, way), c.line(set, target)
-	swapped := b.valid
-	// Stamps travel with the lines: the promoted block keeps its fresh
+	a, b := set*c.assoc+way, set*c.assoc+target
+	swapped := c.keys[b]&keyValid != 0
+	// Stamps travel with the keys: the promoted block keeps its fresh
 	// recency, the demoted one keeps its old stamp.
-	*a, *b = *b, *a
+	c.keys[a], c.keys[b] = c.keys[b], c.keys[a]
+	c.stamps[a], c.stamps[b] = c.stamps[b], c.stamps[a]
 	c.hot.promotions++
 	if c.probe != nil {
 		c.probe.Emit(obs.Promote(now, g, g-1))
@@ -495,12 +505,12 @@ func (c *Cache) victimWay(set, group int) int {
 	victim := base
 	var best uint64 = ^uint64(0)
 	for w := base; w < base+c.wpg; w++ {
-		l := c.line(set, w)
-		if !l.valid {
+		i := set*c.assoc + w
+		if c.keys[i]&keyValid == 0 {
 			return w
 		}
-		if l.stamp < best {
-			best = l.stamp
+		if c.stamps[i] < best {
+			best = c.stamps[i]
 			victim = w
 		}
 	}
@@ -513,20 +523,25 @@ func (c *Cache) victimWay(set, group int) int {
 func (c *Cache) fill(now int64, set int, tag uint64, write bool) {
 	slowest := c.numGroups - 1
 	way := c.victimWay(set, slowest)
-	l := c.line(set, way)
+	i := set*c.assoc + way
 	bank := c.bankOf(slowest, set)
-	if l.valid {
+	if old := c.keys[i]; old&keyValid != 0 {
+		dirty := old&keyDirty != 0
 		c.hot.evictions++
 		if c.probe != nil {
-			c.probe.Emit(obs.Evict(now, slowest, l.dirty))
+			c.probe.Emit(obs.Evict(now, slowest, dirty))
 		}
-		if l.dirty {
+		if dirty {
 			c.hot.writebacks++
 			c.chargeBank(bank, now) // victim read
 			c.mem.Write()
 		}
 	}
-	*l = line{valid: true, dirty: write, tag: tag}
+	key := tag<<keyTagShift | keyValid
+	if write {
+		key |= keyDirty
+	}
+	c.keys[i] = key
 	c.touch(set, way)
 	c.chargeBank(bank, now) // fill write
 	if c.probe != nil {
@@ -595,22 +610,28 @@ func (c *Cache) Contains(addr uint64) bool {
 // NumGroups returns the number of latency groups per set.
 func (c *Cache) NumGroups() int { return c.numGroups }
 
-// CheckInvariants validates tag-state consistency: no duplicate tags
-// within a set and all stamps within the clock bound.
+// CheckInvariants validates tag-state consistency: an invalid way's key
+// is zero (in particular, not dirty), no set holds a tag twice, and all
+// stamps are within the clock bound.
 func (c *Cache) CheckInvariants() error {
 	for set := 0; set < c.geo.NumSets(); set++ {
 		seen := make(map[uint64]bool)
 		for w := 0; w < c.assoc; w++ {
-			l := c.line(set, w)
-			if !l.valid {
+			i := set*c.assoc + w
+			k := c.keys[i]
+			if k&keyValid == 0 {
+				if k != 0 {
+					return fmt.Errorf("set %d way %d is invalid but holds key %#x", set, w, k)
+				}
 				continue
 			}
-			if seen[l.tag] {
-				return fmt.Errorf("set %d holds tag %#x twice", set, l.tag)
+			tag := k >> keyTagShift
+			if seen[tag] {
+				return fmt.Errorf("set %d holds tag %#x twice", set, tag)
 			}
-			seen[l.tag] = true
-			if l.stamp > c.clock {
-				return fmt.Errorf("set %d way %d stamp %d beyond clock %d", set, w, l.stamp, c.clock)
+			seen[tag] = true
+			if c.stamps[i] > c.clock {
+				return fmt.Errorf("set %d way %d stamp %d beyond clock %d", set, w, c.stamps[i], c.clock)
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package nuca
 
 import (
+	"strings"
 	"testing"
 
+	"nurapid/internal/cache"
 	"nurapid/internal/cacti"
 	"nurapid/internal/mathx"
 	"nurapid/internal/memsys"
@@ -40,6 +42,33 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		if _, err := New(cfg, m, mem); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestNewRejectsUnevenGroups pins the error for an associativity that
+// does not split into the 8 latency groups: at 12 ways each group gets
+// one way and ways 8-11 would belong to no group, so they could never
+// be filled.
+func TestNewRejectsUnevenGroups(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CapacityBytes, cfg.Assoc = 6<<20, 12 // 96 banks, 4096 sets
+	_, err := New(cfg, cacti.Default(), memsys.NewMemory(cfg.BlockBytes))
+	if err == nil {
+		t.Fatal("12-way D-NUCA with 8 latency groups accepted")
+	}
+	if !strings.Contains(err.Error(), "ways 8-11") {
+		t.Fatalf("error %q does not name the unreachable ways 8-11", err)
+	}
+}
+
+func TestCheckKeyFits(t *testing.T) {
+	if err := checkKeyFits(cache.Geometry{CapacityBytes: 8 << 20, BlockBytes: 128, Assoc: 16}); err != nil {
+		t.Fatalf("paper geometry rejected: %v", err)
+	}
+	// One offset bit and no set bits leave 63-bit tags, which lose
+	// their top bit when shifted into a key word.
+	if err := checkKeyFits(cache.Geometry{CapacityBytes: 2, BlockBytes: 2, Assoc: 1}); err == nil {
+		t.Fatal("geometry with 63-bit tags accepted")
 	}
 }
 
@@ -225,6 +254,42 @@ func TestInvariantsAfterStorm(t *testing.T) {
 		if c.Counters().Get("promotions") == 0 {
 			t.Fatalf("%v: storm should promote blocks", policy)
 		}
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption seeds one fault per case into
+// the tag store of a cache holding one dirty block and expects
+// CheckInvariants to name it.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(c *Cache, valid, invalid int)
+		want    string
+	}{
+		{"dirty invalid way", func(c *Cache, _, invalid int) { c.keys[invalid] = keyDirty }, "invalid but holds key"},
+		{"tag bits on invalid way", func(c *Cache, valid, invalid int) { c.keys[invalid] = c.keys[valid] &^ keyValid }, "invalid but holds key"},
+		{"duplicate tag", func(c *Cache, valid, invalid int) { c.keys[invalid] = c.keys[valid] }, "twice"},
+		{"stamp beyond clock", func(c *Cache, valid, _ int) { c.stamps[valid] = c.clock + 1 }, "beyond clock"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := build(t, nil)
+			c.Access(memsys.Req{Now: 0, Addr: blockAddr(0), Write: true})
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("clean cache: %v", err)
+			}
+			// Block 0 fills a way of set 0's slowest group; way 0 (in
+			// group 0) is still invalid.
+			valid, ok := c.lookup(blockAddr(0))
+			if !ok || c.keys[0] != 0 {
+				t.Fatal("setup: want block 0 resident and way 0 of set 0 invalid")
+			}
+			tc.corrupt(c, valid, 0)
+			err := c.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -27,6 +27,7 @@ var replayGoldens = map[string]uint64{
 	"ideal":                          0xd0ef9cef0f699de1,
 	"dnuca-ss-performance":           0xaa13605614ddfcef,
 	"dnuca-ss-energy":                0x07b9617385a0e3fb,
+	"dnuca-incremental":              0xd26670d24da42d60,
 	"nurapid-4g-next-fastest-random": 0xdd1f6aaf81dc1028,
 	"nurapid-4g-demotion-only-lru":   0x5b283e9d42df5c3c,
 }
@@ -34,6 +35,8 @@ var replayGoldens = map[string]uint64{
 func replayGuardOrgs() []Organization {
 	ssEnergy := nuca.DefaultConfig()
 	ssEnergy.Policy = nuca.SSEnergy
+	incremental := nuca.DefaultConfig()
+	incremental.Policy = nuca.Incremental
 	nrLRU := nurapid.DefaultConfig()
 	nrLRU.Promotion = nurapid.DemotionOnly
 	nrLRU.Distance = nurapid.LRUDistance
@@ -42,6 +45,7 @@ func replayGuardOrgs() []Organization {
 		Ideal(),
 		DNUCA(nuca.DefaultConfig()),
 		DNUCA(ssEnergy),
+		DNUCA(incremental),
 		NuRAPID(nurapid.DefaultConfig()),
 		NuRAPID(nrLRU),
 	}
